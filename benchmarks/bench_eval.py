@@ -17,8 +17,8 @@ workload (the Table 6 scenario the solver race also uses):
   byte-identical to the scratch reference.
 
 A machine-readable summary lands in
-``benchmarks/results/eval_engine.json`` and a text report in
-``benchmarks/results/eval_engine.txt``.
+``benchmarks/out/eval_engine.json`` and a text report in
+``benchmarks/out/eval_engine.txt``.
 
 Wall-clock ratios on shared CI hardware are noisy, so the timing
 assertions are retried a bounded number of times; the bit-identity
@@ -53,7 +53,7 @@ MAX_TRANSITIONS = 2
 DESCENT_SLICES = (8, 8, 5)
 FRONTIER_SLICES = (16, 16, 5)
 
-RESULTS_JSON = Path(__file__).parent / "results" / "eval_engine.json"
+RESULTS_JSON = Path(__file__).parent / "out" / "eval_engine.json"
 
 
 def _reference_sequence(slices=DESCENT_SLICES):

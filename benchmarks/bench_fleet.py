@@ -41,7 +41,7 @@ gates are retried a bounded number of times; the deterministic
 assertions (equal served counts, byte-identity, zero warm solves,
 ring traffic) are checked on every attempt -- a retry must never mask
 a correctness regression.  Results go to
-``benchmarks/results/fleet.txt`` and ``fleet.json``.
+``benchmarks/out/fleet.txt`` and ``fleet.json``.
 """
 
 import multiprocessing

@@ -14,7 +14,7 @@ Gates for the scenario-universe fuzzer:
 The oracle-overhead figure (full eight-check stack vs scheduling
 alone) is reported, not gated: it measures what the differential
 checks cost on top of the solve they are auditing.  Results go to
-``benchmarks/results/fuzz.txt`` and ``fuzz.json``.
+``benchmarks/out/fuzz.txt`` and ``fuzz.json``.
 """
 
 import time

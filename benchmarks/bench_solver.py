@@ -4,7 +4,7 @@ Tier-1 gate for the ISSUE-2 acceptance criterion: on the 3-network
 scenario the portfolio's time-to-within-5%-of-optimal must be at most
 half the single-threaded branch-and-bound's, with identical final
 objective values (both certified optimal).  The formatted race table
-is recorded in ``benchmarks/results/solver_race.txt``.
+is recorded in ``benchmarks/out/solver_race.txt``.
 
 Wall-clock ratios on shared CI hardware are noisy, so the race is
 retried a bounded number of times before the timing assertion fails;

@@ -5,7 +5,7 @@ principles, so its cost is the price of ``verify=True`` debug runs and
 of cache-admission auditing in the serving layer.  This bench times
 ``verify_result`` against the cost of *producing* the schedule it
 checks, across the paper's 2- and 3-network scenarios, and writes the
-table to ``benchmarks/results/verify_overhead.txt``.
+table to ``benchmarks/out/verify_overhead.txt``.
 
 Acceptance: certification is at most half the scheduling cost on
 every scenario (in practice it is far below that; the bound is loose

@@ -1,10 +1,13 @@
 """Benchmark harness configuration.
 
 Every benchmark regenerates one of the paper's tables or figures and
-writes the formatted rows to ``benchmarks/results/<artifact>.txt`` (and
-the terminal, visible with ``-s``).  The heavyweight sweeps run reduced
-default configurations; set ``REPRO_FULL=1`` to run the complete paper
-protocol (all Table 8 pairs, all Fig. 5/6 models, 10 s Fig. 7 phases).
+writes the formatted rows to ``benchmarks/out/<artifact>.txt`` (and
+the terminal, visible with ``-s``).  ``benchmarks/out/`` is not
+tracked, so running the suite leaves the tree clean; the committed
+``benchmarks/results/`` is a documented snapshot of earlier runs.
+The heavyweight sweeps run reduced default configurations; set
+``REPRO_FULL=1`` to run the complete paper protocol (all Table 8
+pairs, all Fig. 5/6 models, 10 s Fig. 7 phases).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
 
 
 def full_run() -> bool:
@@ -25,10 +28,10 @@ def full_run() -> bool:
 
 @pytest.fixture(scope="session")
 def save_report():
-    RESULTS_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (OUT_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
 
     return _save
@@ -37,12 +40,12 @@ def save_report():
 @pytest.fixture(scope="session")
 def save_json():
     """Machine-readable twin of ``save_report``: dump a payload to
-    ``benchmarks/results/<name>.json`` (stable key order; numpy
+    ``benchmarks/out/<name>.json`` (stable key order; numpy
     scalars coerced through float)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, payload: object) -> Path:
-        path = RESULTS_DIR / f"{name}.json"
+        path = OUT_DIR / f"{name}.json"
         path.write_text(
             json.dumps(payload, indent=2, sort_keys=True, default=float)
             + "\n"
@@ -56,17 +59,17 @@ def save_json():
 def profile_store():
     """Share one on-disk profile store across every benchmark run.
 
-    Points ``REPRO_PROFILE_STORE`` at ``benchmarks/results`` so
+    Points ``REPRO_PROFILE_STORE`` at ``benchmarks/out`` so
     :func:`repro.experiments.common.get_db` loads persisted profile
     databases instead of re-deriving them, and persists whatever was
     profiled at session end -- the paper's profile-once workflow,
     across processes.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(exist_ok=True)
     from repro.experiments import common
 
     previous = os.environ.get(common.PROFILE_STORE_ENV)
-    os.environ[common.PROFILE_STORE_ENV] = str(RESULTS_DIR)
+    os.environ[common.PROFILE_STORE_ENV] = str(OUT_DIR)
     try:
         yield
         common.persist_profile_stores()

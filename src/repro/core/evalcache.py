@@ -551,7 +551,7 @@ class EvalEngine:
         serialized: bool = False,
         check_exclusive: bool = True,
     ) -> list["EvaluationResult | Exception"]:
-        """Evaluate a B&B frontier in one lockstep NumPy batch.
+        """Evaluate a sibling frontier in one lockstep NumPy batch.
 
         Results are bit-identical to per-member :meth:`evaluate`
         (infeasible members come back as exception instances in

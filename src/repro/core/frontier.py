@@ -1,8 +1,12 @@
-"""Frontier-batched schedule evaluation (lockstep across B&B siblings).
+"""Frontier-batched schedule evaluation (lockstep across siblings).
 
-When branch-and-bound expands a node whose children are leaves, the
-children form a *frontier*: sibling assignments that share every
-decision except the branched stream's.  Each sibling still pays a full
+A *frontier* is a batch of sibling assignments that share every
+decision except one stream's, such as the children of a B&B node whose
+children are leaves.  This is a batch API for callers that hold such a
+set up front (``HaXCoNN.results_from_assignments``, the fuzz oracle);
+B&B evaluates its leaves one at a time, because its prune limit
+tightens between siblings and a batch ahead of it wasted about half
+its members.  Each sibling still pays a full
 contention fixed point (Eqs. 7-8) wrapped around the FCFS event-loop
 timeline (Eqs. 4-6), and the scalar engine evaluates them one at a
 time.  This module evaluates the whole frontier in **lockstep**: one
@@ -98,9 +102,7 @@ def evaluate_frontier(
 
     *Every* per-member exception is captured in place, not just
     :class:`ScheduleInfeasible` -- a reference ``KeyError`` from an
-    unprofiled transition must neither abort the rest of the batch
-    nor leak out of the solver's prewarm hook (which would abort a
-    search the scalar path would have continued).  Only
+    unprofiled transition must not abort the rest of the batch.  Only
     ``ScheduleInfeasible`` is memoized as a "bad" entry, exactly like
     the scalar engine, so a later scalar call re-raises the same
     reference exception untouched."""

@@ -313,19 +313,6 @@ class HaXCoNN:
             )
             return result.objective
 
-        def frontier_evaluate(assignments: Sequence[Assignment]) -> None:
-            # memo-prewarm only: evaluate_frontier stores every
-            # member's result (or ScheduleInfeasible) in the engine
-            # memo under the same key objective() reads, bit-identical
-            # to the scalar path -- so the solver's later objective()
-            # calls are memo hits and the search tree is unchanged
-            formulation.evaluate_frontier(
-                [
-                    [a[f"dnn{n}"] for n in range(len(domains))]
-                    for a in assignments
-                ]
-            )
-
         min_energy = None
         if formulation.objective == "energy":
             min_energy = [
@@ -486,7 +473,6 @@ class HaXCoNN:
             constraints=constraints,
             lower_bound=lower_bound,
             child_bounds=child_bounds,
-            frontier_evaluate=frontier_evaluate,
         )
 
     def dominance_reduced(
@@ -545,7 +531,6 @@ class HaXCoNN:
             # the table closure indexes by value, so reduced domains
             # (subsets of the full ones) gather correctly
             child_bounds=problem.child_bounds,
-            frontier_evaluate=problem.frontier_evaluate,
         )
 
     def contention_oblivious_seeds(

@@ -314,8 +314,8 @@ def run_oracles(
     # -- frontier batch vs scalar reference ----------------------------
     checks.append("frontier-byte-identity")
     # a genuine sibling frontier: stream 0 sweeps its domain, the
-    # other streams keep the adopted assignment (the shape bnb's
-    # leaf-frontier prewarm hands the batched evaluator)
+    # other streams keep the adopted assignment (the children of a
+    # B&B node one level above the leaves)
     siblings = [
         [tuple(value), *assignments[1:]]
         for value in problem.variables[0].domain[:12]

@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 from repro.dnn import zoo
 from repro.dnn.graph import DNNGraph
 from repro.dnn.grouping import LayerGroup, group_layers
-from repro.perf.model import group_cost, transition_cost
+from repro.perf.model import UnitCost, group_cost, transition_cost
+from repro.soc.accelerator import AcceleratorSpec
 from repro.soc.platform import Platform
 
 
@@ -36,6 +37,25 @@ class GroupProfile:
     transition_s: Mapping[tuple[str, str], tuple[float, float]] = field(
         default_factory=dict
     )
+    #: accelerator name -> (platform, accelerator, cost) priced by
+    #: :meth:`cost_on`; at most one entry per accelerator
+    _costs: dict[str, tuple[Platform, AcceleratorSpec, UnitCost]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def cost_on(self, accel: AcceleratorSpec, platform: Platform) -> UnitCost:
+        """Standalone cost of the group on ``accel``, priced once.
+
+        The memo answers only the very platform and accelerator objects
+        it was priced on, so a same-name variant platform (e.g. built
+        with :func:`dataclasses.replace`) re-prices.
+        """
+        hit = self._costs.get(accel.name)
+        if hit is not None and hit[0] is platform and hit[1] is accel:
+            return hit[2]
+        cost = group_cost(self.group, accel, platform)
+        self._costs[accel.name] = (platform, accel, cost)
+        return cost
 
     @property
     def supported(self) -> frozenset[str]:

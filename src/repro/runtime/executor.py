@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from repro.core.haxconn import ScheduleResult
 from repro.core.schedule import Schedule
-from repro.perf.model import group_cost, transition_cost
+from repro.perf.model import transition_cost
 from repro.profiling.profiler import DNNProfile
 from repro.soc.engine import Engine, SimTask
 from repro.soc.platform import Platform
@@ -104,31 +104,50 @@ def build_tasks(
                 f"stream {n}: schedule covers {len(dnn_schedule)} groups, "
                 f"profile has {len(profile)}"
             )
+        # every repeat runs the same groups on the same DSAs: resolve
+        # and price each step once per stream, not once per task
+        steps = []
+        for g, accel_name in enumerate(dnn_schedule):
+            gp = profile.groups[g]
+            accel = platform.accel(accel_name)
+            if accel_name not in gp.time_s:
+                raise ValueError(
+                    f"group {gp.label} of {profile.dnn_name} cannot "
+                    f"run on {accel_name}"
+                )
+            transition = None
+            if g > 0 and dnn_schedule[g - 1] != accel_name:
+                prev_accel = dnn_schedule[g - 1]
+                src = platform.accel(prev_accel)
+                boundary = profile.groups[g - 1].group.output_elems
+                out_s, in_s = transition_cost(boundary, src, accel, platform)
+                raw_bytes = boundary * platform.dtype_bytes
+                transition = (
+                    prev_accel,
+                    out_s,
+                    raw_bytes * src.time_scale,
+                    src.transition_bw_frac * platform.dram_bandwidth,
+                    in_s,
+                    raw_bytes * accel.time_scale,
+                    accel.transition_bw_frac * platform.dram_bandwidth,
+                )
+            cost = gp.cost_on(accel, platform)
+            steps.append(
+                (accel_name, gp.label, cost.compute_s, cost.dram_bytes,
+                 max(cost.req_bw, 1.0), transition)
+            )
         for rep in range(repeats[n]):
             prev_task: str | None = (
                 last_of_rep.get((n, rep - 1)) if rep > 0 else None
             )
-            prev_accel: str | None = None
-            for g, accel_name in enumerate(dnn_schedule):
-                gp = profile.groups[g]
-                accel = platform.accel(accel_name)
-                if accel_name not in gp.time_s:
-                    raise ValueError(
-                        f"group {gp.label} of {profile.dnn_name} cannot "
-                        f"run on {accel_name}"
-                    )
+            for g, (accel_name, label, compute_s, dram_bytes, max_bw,
+                    transition) in enumerate(steps):
                 deps: list[str] = []
                 if prev_task is not None:
                     deps.append(prev_task)
-                if g > 0 and prev_accel is not None and prev_accel != accel_name:
-                    src = platform.accel(prev_accel)
-                    boundary = profile.groups[g - 1].group.output_elems
-                    out_s, in_s = transition_cost(
-                        boundary, src, accel, platform
-                    )
-                    raw_bytes = boundary * platform.dtype_bytes
-                    out_bytes = raw_bytes * src.time_scale
-                    in_bytes = raw_bytes * accel.time_scale
+                if transition is not None:
+                    (prev_accel, out_s, out_bytes, out_bw,
+                     in_s, in_bytes, in_bw) = transition
                     flush_id = f"d{n}r{rep}t{g}flush"
                     load_id = f"d{n}r{rep}t{g}load"
                     tasks.append(
@@ -137,8 +156,7 @@ def build_tasks(
                             accel=prev_accel,
                             compute_s=out_s,
                             dram_bytes=out_bytes,
-                            max_bw=src.transition_bw_frac
-                            * platform.dram_bandwidth,
+                            max_bw=out_bw,
                             deps=tuple(deps),
                             meta={
                                 "dnn": n,
@@ -154,8 +172,7 @@ def build_tasks(
                             accel=accel_name,
                             compute_s=in_s,
                             dram_bytes=in_bytes,
-                            max_bw=accel.transition_bw_frac
-                            * platform.dram_bandwidth,
+                            max_bw=in_bw,
                             deps=(flush_id,),
                             meta={
                                 "dnn": n,
@@ -166,28 +183,26 @@ def build_tasks(
                         )
                     )
                     deps = [load_id]
-                cost = group_cost(gp.group, accel, platform)
                 task_id = f"d{n}r{rep}g{g}"
                 tasks.append(
                     SimTask(
                         task_id=task_id,
                         accel=accel_name,
-                        compute_s=cost.compute_s,
-                        dram_bytes=cost.dram_bytes,
-                        max_bw=max(cost.req_bw, 1.0),
+                        compute_s=compute_s,
+                        dram_bytes=dram_bytes,
+                        max_bw=max_bw,
                         deps=tuple(deps),
                         meta={
                             "dnn": n,
                             "rep": rep,
                             "group": g,
                             "role": "group",
-                            "label": gp.label,
+                            "label": label,
                         },
                     )
                 )
                 first_of_rep.setdefault((n, rep), []).append(task_id)
                 prev_task = task_id
-                prev_accel = accel_name
             last_of_rep[(n, rep)] = prev_task  # type: ignore[assignment]
         last_of_stream[n] = last_of_rep[(n, repeats[n] - 1)]
 

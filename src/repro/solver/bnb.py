@@ -282,24 +282,6 @@ class _SearchState:
             ordered = self.cfg.child_order(variable, children)
         else:
             ordered = sorted(children, key=lambda c: c[0])
-        if (
-            depth + 1 == len(problem.variables)
-            and problem.frontier_evaluate is not None
-        ):
-            # leaf frontier: batch-evaluate the siblings the loop below
-            # is about to descend into, warming the objective's memo in
-            # one vectorized pass.  Memo-warming only -- the hint's
-            # contract (see Problem.frontier_evaluate) guarantees the
-            # loop's objective() calls see bit-identical results, so
-            # the explored tree does not depend on this call.
-            limit = self.limit()
-            frontier = [
-                {**partial, variable.name: value}
-                for bound, value in ordered
-                if bound < limit
-            ]
-            if len(frontier) > 1:
-                problem.frontier_evaluate(frontier)
         exhausted = True
         for bound, value in ordered:
             if self.budget_exceeded():

@@ -214,9 +214,6 @@ def _permuted(problem: Problem, order: tuple[int, ...] | None) -> Problem:
         constraints=problem.constraints,
         lower_bound=problem.lower_bound,
         child_bounds=problem.child_bounds,
-        # value-keyed like child_bounds, so permuted branching orders
-        # feed it the same complete assignments
-        frontier_evaluate=problem.frontier_evaluate,
     )
 
 

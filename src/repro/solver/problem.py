@@ -63,18 +63,6 @@ class Problem:
         raise :class:`Infeasible` (return ``inf`` for dead values) and
         must not mutate the partial.  ``None`` keeps the per-child
         scalar path.
-    frontier_evaluate:
-        Optional batched-evaluation hint for the solver's leaf
-        frontiers: called with the complete sibling assignments the
-        search is about to descend into, it may pre-compute their
-        objectives in one vectorized pass (warming whatever memo
-        ``objective`` consults) but must not return anything the
-        search acts on.  The contract is *invisibility*: for every
-        assignment in the batch, a later ``objective`` call must
-        return (or raise) exactly what it would have without the
-        hint, so the explored tree, the incumbent trace, and every
-        recorded objective stay bit-identical with the hint removed.
-        ``None`` keeps the per-leaf scalar path.
     """
 
     variables: Sequence[Variable]
@@ -86,7 +74,6 @@ class Problem:
     child_bounds: Callable[[Assignment, Variable], Sequence[float]] | None = (
         None
     )
-    frontier_evaluate: Callable[[Sequence[Assignment]], None] | None = None
 
     def __post_init__(self) -> None:
         names = [v.name for v in self.variables]

@@ -10,13 +10,13 @@ reference **bit for bit** -- scalars, per-item timings, and the type
 random formulations, every real platform (including the 4-DSA
 ``matcha`` with the ``vit_tiny`` transformer), and the adversarial
 paths: memo eviction mid-frontier, singleton frontiers, duplicate
-members, all-infeasible frontiers -- plus the solver-level guarantee
-that the leaf-frontier prewarm hook leaves the B&B tree untouched.
+members, all-infeasible frontiers.  The batch is an API for callers
+holding a sibling set up front; the solvers never call it, and their
+trees are pinned to the ones the retired leaf-frontier prewarm
+explored.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -214,15 +214,63 @@ def test_real_platform_frontiers(platform_name, models):
     assert_identical(got, ref, items_every=1)
 
 
-# -- solver invisibility ------------------------------------------------
-@pytest.mark.parametrize("objective", ("latency", "throughput", "energy"))
-def test_bnb_tree_identical_with_and_without_frontier_hint(
-    xavier, xavier_db, objective
-):
-    """Stripping ``frontier_evaluate`` (per-leaf scalar evaluation)
-    must reproduce the same tree: node count, incumbent objectives
-    and assignments, certified optimum -- the mirror of the
-    ``child_bounds`` invisibility test."""
+# -- the solvers stay off the batch path -------------------------------
+@pytest.mark.parametrize("solver", ("bnb", "portfolio"))
+def test_schedule_never_batches_frontiers(xavier, xavier_db, solver):
+    """B&B evaluates each leaf it reaches through the scalar engine;
+    neither solver hands the engine a frontier batch."""
+    scheduler = HaXCoNN(
+        xavier,
+        db=xavier_db,
+        max_groups=3,
+        max_transitions=1,
+        solver=solver,
+        solver_backend="serial",
+    )
+    result = scheduler.schedule(Workload.concurrent("alexnet", "resnet18"))
+    counters = result.formulation.engine.counters
+    assert counters.evals > 0
+    assert counters.frontier_batches == 0
+    assert counters.frontier_members == 0
+
+
+#: per objective: nodes explored, then every incumbent's objective and
+#: assignment, as the search recorded them with the leaf-frontier
+#: prewarm still in place (the prewarm was memo-only, so dropping it
+#: must leave the tree exactly as it was)
+PRE_PREWARM_REMOVAL_TREES = {
+    "latency": (
+        4,
+        [
+            (0.002452240241615238,
+             {"dnn0": ("gpu", "gpu", "gpu"), "dnn1": ("dla", "dla", "gpu")}),
+            (0.002258382262585468,
+             {"dnn0": ("gpu", "gpu", "gpu"), "dnn1": ("dla", "gpu", "gpu")}),
+        ],
+    ),
+    "throughput": (
+        4,
+        [
+            (-840.8122021391713,
+             {"dnn0": ("gpu", "gpu", "gpu"), "dnn1": ("gpu", "gpu", "gpu")}),
+            (-885.5896688235305,
+             {"dnn0": ("gpu", "gpu", "gpu"), "dnn1": ("dla", "gpu", "gpu")}),
+        ],
+    ),
+    "energy": (
+        4,
+        [
+            (0.04674448624846043,
+             {"dnn0": ("gpu", "gpu", "gpu"), "dnn1": ("dla", "dla", "gpu")}),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("objective", sorted(PRE_PREWARM_REMOVAL_TREES))
+def test_bnb_tree_matches_pre_removal_pin(xavier, xavier_db, objective):
+    """Node count, incumbent sequence and certified optimum equal the
+    tree recorded before the prewarm was removed, bit for bit."""
     scheduler = HaXCoNN(
         xavier, db=xavier_db, max_groups=3, max_transitions=1
     )
@@ -231,25 +279,17 @@ def test_bnb_tree_identical_with_and_without_frontier_hint(
     )
     formulation, _ = scheduler.build_formulation(workload)
     problem = scheduler.build_problem(workload, formulation)
-    assert problem.frontier_evaluate is not None
-    scalar = dataclasses.replace(problem, frontier_evaluate=None)
+    result = BranchAndBound().solve(problem)
 
-    fast = BranchAndBound().solve(problem)
-    slow = BranchAndBound().solve(scalar)
-
-    assert fast.optimal and slow.optimal
-    assert fast.nodes_explored == slow.nodes_explored
-    assert fast.best is not None and slow.best is not None
-    assert fast.best.objective == slow.best.objective
-    assert fast.best.assignment == slow.best.assignment
-    assert [i.objective for i in fast.incumbents] == [
-        i.objective for i in slow.incumbents
-    ]
-    assert [i.assignment for i in fast.incumbents] == [
-        i.assignment for i in slow.incumbents
-    ]
-    # the hint actually ran: the engine saw at least one batch
-    assert formulation.engine.counters.frontier_batches > 0
+    nodes, incumbents = PRE_PREWARM_REMOVAL_TREES[objective]
+    assert result.optimal
+    assert result.nodes_explored == nodes
+    assert [(i.objective, i.assignment) for i in result.incumbents] == (
+        incumbents
+    )
+    assert result.best is not None
+    assert (result.best.objective, result.best.assignment) == incumbents[-1]
+    assert formulation.engine.counters.frontier_batches == 0
 
 
 def test_frontier_counters_in_stats():

@@ -11,6 +11,7 @@ from repro.experiments import (
     ablations,
     fig1_case_study,
     fig3_emc_sweep,
+    fig7_dynamic,
     fig4_intervals,
     fig5_scenario1,
     fig6_slowdown,
@@ -220,6 +221,33 @@ class TestFig5:
         row = rows[0]
         assert float(row["haxconn_fps"]) > 0
         assert float(row["improvement_pct"]) >= -3.0
+
+
+class TestFig7:
+    @staticmethod
+    def _row(phase):
+        return {
+            "phase": phase,
+            "workload": "vgg19+resnet152",
+            "initial_ms": 1.0,
+            "final_ms": 1.0,
+            "oracle_ms": 1.0,
+            "converged": True,
+            "convergence_s": 0.0,
+            "updates": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "phases,title",
+        (
+            (1, "convergence over 1 workload phase"),
+            (2, "convergence over 2 workload phases"),
+            (3, "convergence over 3 workload phases"),
+        ),
+    )
+    def test_title_counts_the_phases_run(self, phases, title):
+        rows = [self._row(k + 1) for k in range(phases)]
+        assert title in fig7_dynamic.format_results(rows)
 
 
 class TestAblations:
