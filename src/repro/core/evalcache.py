@@ -35,14 +35,12 @@ path fast **without changing a single bit of its results**:
   Memo entries store scalars only; ``EvaluationResult.items`` is
   re-materialized lazily on the rare occasions it is read.
 
-The *canonical* path (``exact=True``, the default) restarts the damped
-contention fixed point from ``slow = 1`` exactly like the reference
-implementation: a warm-started fixed point stopped by a step tolerance
-is path-dependent (~1e-4 relative), which would break the repo's
+Every evaluation restarts the damped contention fixed point from
+``slow = 1`` exactly like the reference implementation: a
+warm-started fixed point stopped by a step tolerance is
+path-dependent (~1e-4 relative), which would break the repo's
 byte-identity contracts (portfolio-vs-bnb equality, memo purity, the
-PR-3 certificate checker).  ``exact=False`` opts into warm-starting
-from the previous converged slowdown vector -- an approximate expert
-mode used by benchmarks to report iterations saved.
+certificate checker).
 
 Thread backends share one engine: all caches hold *pure* values
 (identical no matter which thread computed them), so races can only
@@ -81,7 +79,7 @@ class EvalCounters:
     evals: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    #: evaluations actually computed (memo misses + inexact warm runs)
+    #: evaluations actually computed (memo misses)
     computed_evals: int = 0
     #: contention fixed-point iterations across computed evaluations
     fp_iterations: int = 0
@@ -90,15 +88,6 @@ class EvalCounters:
     slowdown_cache_hits: int = 0
     replayed_evals: int = 0
     replayed_commits: int = 0
-    batch_evals: int = 0
-    batch_items: int = 0
-    #: frontier-batched evaluation (repro.core.frontier)
-    frontier_batches: int = 0
-    frontier_members: int = 0
-    #: members computed by the lockstep tensor path vs delegated to
-    #: the scalar engine (tiny frontiers, pipelines, serialized, ...)
-    frontier_lockstep: int = 0
-    frontier_fallback: int = 0
 
     def merge(self, other: "EvalCounters") -> None:
         for f in fields(self):
@@ -448,14 +437,6 @@ class EvalEngine:
         #: (key, commit log, converged slow) of the last computed
         #: evaluation (non-serialized) -- the prefix-delta parent
         self._last: tuple[AssignKey, list[tuple], np.ndarray] | None = None
-        #: converged slowdown vector of the most recent contended
-        #: evaluation, exact or warm -- the opt-in ``exact=False`` path
-        #: seeds its fixed point from here.  Kept apart from ``_last``:
-        #: warm runs record no commit log (their first timeline pass is
-        #: not the reference slow=1 pass), so parking their state in
-        #: ``_last`` would hand the replay path an unusable log, while
-        #: leaving it out entirely would keep warm-only sequences cold.
-        self._warm_slow: np.ndarray | None = None
 
     # -- public API ----------------------------------------------------
     def evaluate(
@@ -464,107 +445,33 @@ class EvalEngine:
         *,
         serialized: bool = False,
         check_exclusive: bool = True,
-        exact: bool = True,
     ) -> "EvaluationResult":
-        """Drop-in for the reference ``Formulation.evaluate``.
-
-        ``exact=False`` warm-starts the contention fixed point from
-        the previous converged slowdown vector -- fewer iterations but
-        path-dependent results (~1e-4 relative); never use it where
-        byte-identity matters (solvers, caches, certificates).
-        """
+        """Drop-in for the reference ``Formulation.evaluate``."""
         from repro.core.formulation import ScheduleInfeasible
 
         c = self.counters
         c.evals += 1
         key = tuple(tuple(a) for a in assignments)
         memo_key = (key, serialized, check_exclusive)
-        if exact:
-            hit = self.memo.get(memo_key)
-            if hit is not None:
-                c.memo_hits += 1
-                if hit[0] == "bad":
-                    raise ScheduleInfeasible(hit[1])
-                return self._result_from_memo(hit, key, serialized)
-            c.memo_misses += 1
+        hit = self.memo.get(memo_key)
+        if hit is not None:
+            c.memo_hits += 1
+            if hit[0] == "bad":
+                raise ScheduleInfeasible(hit[1])
+            return self._result_from_memo(hit, key, serialized)
+        c.memo_misses += 1
         try:
-            computed = self._compute(
-                key,
-                serialized,
-                check_exclusive,
-                replay_ok=exact,
-                warm=not exact,
-            )
+            computed = self._compute(key, serialized, check_exclusive)
         except ScheduleInfeasible as exc:
-            if exact:
-                self.memo.put(memo_key, ("bad", str(exc)))
+            self.memo.put(memo_key, ("bad", str(exc)))
             raise
         (per_dnn, objective, makespan, energy, iterations, arrays) = computed
-        if exact:
-            self.memo.put(
-                memo_key,
-                ("ok", per_dnn, objective, makespan, energy, iterations),
-            )
+        self.memo.put(
+            memo_key,
+            ("ok", per_dnn, objective, makespan, energy, iterations),
+        )
         return self._result(
             per_dnn, objective, makespan, energy, iterations, arrays
-        )
-
-    def evaluate_many(
-        self,
-        batch: Sequence[Sequence[Sequence[str]]],
-        *,
-        serialized: bool = False,
-        check_exclusive: bool = True,
-    ) -> list["EvaluationResult | Exception"]:
-        """Evaluate sibling assignments in one pass.
-
-        Siblings share the engine's gather / slowdown-structure caches
-        and chain through the prefix-delta replay state (consecutive
-        siblings typically differ in one stream's suffix -- exactly the
-        B&B child-ordering shape).  Infeasible entries come back as
-        exception *instances* in place, so one bad sibling does not
-        abort the batch; results are bit-identical to per-call
-        :meth:`evaluate`.
-        """
-        from repro.core.formulation import ScheduleInfeasible
-
-        self.counters.batch_evals += 1
-        self.counters.batch_items += len(batch)
-        out: list["EvaluationResult | Exception"] = []
-        for assignments in batch:
-            try:
-                out.append(
-                    self.evaluate(
-                        assignments,
-                        serialized=serialized,
-                        check_exclusive=check_exclusive,
-                    )
-                )
-            except ScheduleInfeasible as exc:
-                out.append(exc)
-        return out
-
-    def evaluate_frontier(
-        self,
-        batch: Sequence[Sequence[Sequence[str]]],
-        *,
-        serialized: bool = False,
-        check_exclusive: bool = True,
-    ) -> list["EvaluationResult | Exception"]:
-        """Evaluate a sibling frontier in one lockstep NumPy batch.
-
-        Results are bit-identical to per-member :meth:`evaluate`
-        (infeasible members come back as exception instances in
-        place, the :meth:`evaluate_many` convention); the batching is
-        purely a throughput lever.  See :mod:`repro.core.frontier`.
-        """
-        from repro.core.frontier import evaluate_frontier
-
-        return evaluate_frontier(
-            self,
-            batch,
-            serialized=serialized,
-            check_exclusive=check_exclusive,
         )
 
     def stats(self) -> dict[str, float]:
@@ -673,7 +580,6 @@ class EvalEngine:
         check_exclusive: bool,
         *,
         replay_ok: bool = True,
-        warm: bool = False,
         record_state: bool = True,
         tally: bool = True,
     ) -> tuple[
@@ -699,10 +605,8 @@ class EvalEngine:
 
         last = self._last if event_loop else None
         slow = np.ones(n_items)
-        if warm and not contention_free and self._warm_slow is not None:
-            slow = self._warm_slow.copy()
         replay: list[tuple] | None = None
-        if event_loop and replay_ok and not warm and last is not None:
+        if event_loop and replay_ok and last is not None:
             replay = self._replay_prefix(key, last)
             if replay:
                 c.replayed_evals += 1
@@ -725,7 +629,7 @@ class EvalEngine:
         for iterations in range(1, f.max_iterations + 1):
             first = iterations == 1
             if event_loop:
-                record = [] if (first and not warm) else None
+                record = [] if first else None
                 self._timeline_rc(
                     t0_l,
                     slow.tolist(),
@@ -800,8 +704,6 @@ class EvalEngine:
         objective = f._objective(per_dnn, serialized, energy)
         if record_state and event_loop and log is not None:
             self._last = (key, log, slow.copy())
-        if record_state and not contention_free:
-            self._warm_slow = slow.copy()
         arrays = (self._stream_vec, accel_id, start, end, t0, slow, bw)
         return per_dnn, objective, makespan, energy, iterations, arrays
 
@@ -1074,13 +976,7 @@ class EvalEngine:
         return 0.25 * previous + 0.75 * new
 
     def _s_matrix(self, active: np.ndarray, bw: np.ndarray) -> np.ndarray:
-        """Per-interval slowdown matrix for one overlap structure.
-
-        The single implementation behind both the scalar path's
-        ``_slowdowns`` and the frontier batcher's per-member cache
-        misses -- sharing the code is what makes the two paths'
-        cache entries interchangeable bit-for-bit.
-        """
+        """Per-interval slowdown matrix for one overlap structure."""
         total_bw = active @ bw
         n_clients = active.sum(axis=1)
         ext = np.where(active, total_bw[:, None] - bw[None, :], 0.0)
@@ -1094,66 +990,6 @@ class EvalEngine:
                 np.broadcast_to(n_clients[:, None], active.shape)[mask],
             )
         return _frozen(s)
-
-    def _s_matrix_many(
-        self, acts: list[np.ndarray], bws: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """`_s_matrix` for several overlap structures in one shot.
-
-        Structures are padded to a common interval count and run as
-        one elementwise tensor program whose per-structure rows carry
-        exactly the :meth:`_s_matrix` values: padding rows are
-        all-inactive (no cells, slowdown stays 1.0) and every
-        batched op is elementwise, except ``active @ bw``, which is
-        kept as the reference per-structure matmul so the float
-        reduction order cannot drift.  The contention-model cells are
-        funneled through a single :meth:`_slowdown_cells` call --
-        elementwise and per-triple memoized, so regrouping cells
-        across structures cannot change any value.
-        """
-        if not acts:
-            return []
-        m = len(acts)
-        n = len(bws[0])
-        ks = [act.shape[0] for act in acts]
-        kmax = max(ks)
-        a3 = np.zeros((m, kmax, n), dtype=bool)
-        tb = np.zeros((m, kmax))
-        for i, (act, bw) in enumerate(zip(acts, bws)):
-            a3[i, : ks[i]] = act
-            tb[i, : ks[i]] = act @ bw
-        bw2 = np.stack(bws)
-        n_clients = a3.sum(axis=2)
-        ext3 = np.where(a3, tb[:, :, None] - bw2[:, None, :], 0.0)
-        own3 = np.broadcast_to(bw2[:, None, :], a3.shape)
-        mask3 = a3 & (ext3 > 0)
-        s3 = np.ones(a3.shape)
-        own_c = own3[mask3]
-        if len(own_c):
-            ext_c = ext3[mask3]
-            ncl_c = np.broadcast_to(n_clients[:, :, None], a3.shape)[mask3]
-            # dedup triples vectorially before the per-cell memo: the
-            # same (own, ext, n_clients) triple recurs across cells
-            # and `_slowdown_cells` is elementwise, so evaluating one
-            # representative per distinct triple and scattering back
-            # returns the same cells in the same order
-            trip = np.ascontiguousarray(
-                np.stack([own_c, ext_c, ncl_c * 1.0], axis=1)
-            )
-            vt = trip.view(
-                np.dtype((np.void, trip.dtype.itemsize * 3))
-            ).ravel()
-            _, first, inv = np.unique(
-                vt, return_index=True, return_inverse=True
-            )
-            vals = self._slowdown_cells(
-                own_c[first], ext_c[first], ncl_c[first]
-            )
-            s3[mask3] = vals[inv]
-        return [
-            _frozen(np.ascontiguousarray(s3[i, : ks[i]]))
-            for i in range(m)
-        ]
 
     def _slowdown_cells(
         self,

@@ -286,24 +286,6 @@ class Formulation:
             check_exclusive=check_exclusive,
         )
 
-    def evaluate_many(
-        self,
-        batch: Sequence[Sequence[Sequence[str]]],
-        *,
-        serialized: bool = False,
-        check_exclusive: bool = True,
-    ) -> "list[EvaluationResult | Exception]":
-        """Evaluate a batch of sibling assignments in one engine pass.
-
-        Infeasible entries come back as :class:`ScheduleInfeasible`
-        *instances* in place of a result, so one bad sibling does not
-        abort the batch.  Results are bit-identical to per-call
-        :meth:`evaluate`.
-        """
-        return self.engine.evaluate_many(
-            batch, serialized=serialized, check_exclusive=check_exclusive
-        )
-
     def evaluate_frontier(
         self,
         batch: Sequence[Sequence[Sequence[str]]],
@@ -311,16 +293,29 @@ class Formulation:
         serialized: bool = False,
         check_exclusive: bool = True,
     ) -> "list[EvaluationResult | Exception]":
-        """Evaluate a B&B frontier as one lockstep NumPy batch.
+        """Evaluate a batch of assignments, one :meth:`evaluate` each.
 
-        Same calling convention and bit-identical results as
-        :meth:`evaluate_many`; siblings sharing all but one decision
-        are batched through the tensor event loop and contention
-        fixed point (:mod:`repro.core.frontier`).
+        Results are bit-identical to per-member :meth:`evaluate`.  A
+        member that raises gets its exception *instance* in its slot,
+        so one bad member does not abort the batch -- except
+        ``ValueError`` (a malformed member is a caller bug), which is
+        raised.
         """
-        return self.engine.evaluate_frontier(
-            batch, serialized=serialized, check_exclusive=check_exclusive
-        )
+        out: "list[EvaluationResult | Exception]" = []
+        for assignments in batch:
+            try:
+                out.append(
+                    self.engine.evaluate(
+                        assignments,
+                        serialized=serialized,
+                        check_exclusive=check_exclusive,
+                    )
+                )
+            except ValueError:
+                raise
+            except Exception as exc:  # noqa: BLE001 -- returned in place
+                out.append(exc)
+        return out
 
     def evaluate_scratch(
         self,

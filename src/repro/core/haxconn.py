@@ -127,6 +127,8 @@ class HaXCoNN:
     solver_transport:
         Portfolio configuration, ignored for ``"bnb"``; see
         :class:`~repro.solver.portfolio.PortfolioSolver`.
+        ``solver_clock`` is ``"wall"`` or ``"nodes"``, and ``"nodes"``
+        is rejected unless ``solver="portfolio"``.
     guide:
         Optional store-trained :class:`~repro.learn.guide.SearchGuide`.
         With the portfolio solver it adds learned root seeds and the
@@ -178,6 +180,17 @@ class HaXCoNN:
             raise ValueError(
                 f"solver must be 'bnb', 'portfolio' or callable, "
                 f"got {solver!r}"
+            )
+        if solver_clock not in ("wall", "nodes"):
+            raise ValueError(
+                f"solver_clock must be 'wall' or 'nodes', got {solver_clock!r}"
+            )
+        if solver_clock == "nodes" and solver != "portfolio":
+            # only the portfolio stamps incumbents on the node clock;
+            # accepting it elsewhere would silently keep wall time
+            raise ValueError(
+                "solver_clock='nodes' requires solver='portfolio', "
+                f"got solver={solver!r}"
             )
         self.solver = solver
         self.verify = verify
@@ -636,12 +649,10 @@ class HaXCoNN:
     ) -> list[ScheduleResult]:
         """Batched :meth:`result_from_assignments`.
 
-        The whole batch is predicted in one
-        :meth:`Formulation.evaluate_frontier` call -- certified
-        bit-identical to the scalar path by the frontier engine's
-        differential tests -- so callers materializing many candidate
-        mappings at once (the serving policy's anytime swap plan) pay
-        one vectorized evaluation instead of a Python loop.
+        The batch is predicted through
+        :meth:`Formulation.evaluate_frontier` (one memoized scalar
+        evaluation per member); the first member that cannot be
+        scheduled raises its exception.
         """
         predictions = formulation.evaluate_frontier(
             batch, serialized=serialized, check_exclusive=False

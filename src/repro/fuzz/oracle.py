@@ -23,10 +23,11 @@ between the independent paths is a bug somewhere:
     The memoized incremental evaluator vs the from-scratch reference
     on the adopted assignments -- bit-for-bit equal fields and items.
 ``frontier-byte-identity``
-    The lockstep frontier batch (``evaluate_frontier``) over sibling
-    variations of the adopted assignment vs the per-member scratch
-    reference -- equal fields for feasible members, equal exception
-    type and message for infeasible ones.
+    The batch entry point (``evaluate_frontier``, one memoized scalar
+    evaluation per member) over sibling variations of the adopted
+    assignment vs the per-member scratch reference -- equal fields for
+    feasible members, equal exception type and message for infeasible
+    ones.
 ``baseline-dominance``
     The adopted schedule never loses to the serialized GPU-only
     fallback *under the same formulation*.

@@ -525,8 +525,8 @@ class CachedAnytimePolicy(ServingPolicy):
             adopted.append((point, best))
             best_objective = best.objective
         if adopted:
-            # one frontier batch materializes every adopted incumbent
-            # (bit-identical to per-incumbent scalar evaluation)
+            # one batch call materializes every adopted incumbent
+            # (each a memoized scalar evaluation)
             results = self.scheduler.results_from_assignments(
                 workload,
                 formulation,

@@ -1,12 +1,11 @@
 """Differential property tests for the incremental evaluation engine.
 
 The engine behind ``Formulation.evaluate`` (repro.core.evalcache) is a
-pure speedup: every default-path mechanism -- item-tensor gathers,
-prefix-delta replay, the slowdown-structure cache, the bounded memo
-table, cross-worker memo sharing, and batch evaluation -- must
-reproduce the reference ``evaluate_scratch`` **bit for bit**,
-including per-item timings and the type *and message* of every raised
-exception.  These tests sweep 60+ seeded random formulations plus a
+pure speedup: every mechanism -- item-tensor gathers, prefix-delta
+replay, the slowdown-structure cache, the bounded memo table, and
+cross-worker memo sharing -- must reproduce the reference
+``evaluate_scratch`` **bit for bit**, including per-item timings and
+the type *and message* of every raised exception.  These tests sweep 60+ seeded random formulations plus a
 hypothesis layer over synthetic profiles; dedicated cases force memo
 eviction and the export/merge sharing path.
 """
@@ -287,87 +286,6 @@ def test_cross_worker_memo_share(seed):
     assert peer.counters.memo_hits == len(sequence)
 
 
-@pytest.mark.parametrize("seed", (2, 7, 14, 21, 28, 35))
-def test_batch_parity(seed):
-    """evaluate_many == per-call evaluate == scratch, with infeasible
-    siblings returned as exception instances in place."""
-    form, rng = random_formulation(seed)
-    raw = random_sequence(form, rng)
-    ref_all = outcomes(clone(form).evaluate_scratch, raw)
-    # evaluate_many absorbs ScheduleInfeasible only; reference
-    # KeyErrors (unprofiled transitions) propagate by contract
-    keep = [
-        i
-        for i, o in enumerate(ref_all)
-        if o[0] == "ok" or issubclass(o[1], ScheduleInfeasible)
-    ]
-    sequence = [raw[i] for i in keep]
-    ref = [ref_all[i] for i in keep]
-
-    batch_form = clone(form)
-    batch = batch_form.evaluate_many(sequence)
-    as_outcomes: list[Outcome] = [
-        ("err", type(r), str(r)) if isinstance(r, Exception) else ("ok", r)
-        for r in batch
-    ]
-    assert_identical(as_outcomes, ref)
-    assert batch_form.engine.counters.batch_items == len(sequence)
-
-
-@pytest.mark.parametrize("seed", (0, 6, 12, 24, 33, 44))
-def test_warm_inexact_stays_close(seed):
-    """exact=False is approximate by contract but never wildly off
-    the exact objective on any feasible assignment."""
-    form, rng = random_formulation(seed)
-    sequence = [
-        a
-        for a in random_sequence(form, rng)
-        if all(acc in ACCELS for s in a for acc in s)
-    ]
-    exact_form = clone(form)
-    exact = []
-    for a in sequence:
-        try:
-            exact.append(exact_form.evaluate(a).objective)
-        except Exception:  # noqa: BLE001 -- Eq.9 overlap etc.
-            exact.append(None)
-
-    warm_form = clone(form)
-    for expected, a in zip(exact, sequence):
-        if expected is None:
-            continue
-        got = warm_form.engine.evaluate(a, exact=False).objective
-        assert got == pytest.approx(expected, rel=1e-2)
-
-
-def test_warm_start_saves_iterations_on_contended_workload():
-    """Re-evaluating a contended assignment with ``exact=False`` seeds
-    the fixed point at its own converged slowdowns, so repeats must
-    converge in strictly fewer mean iterations than cold evaluation.
-    (Seeding from a *different* assignment is allowed to be neutral --
-    this pins the revisit case, the one D-HaX-CoNN re-solves hit.)"""
-    times = [{a: 2e-3 for a in ACCELS} for _ in range(3)]
-    bws = [{a: 3.5e9 for a in ACCELS} for _ in range(3)]
-    profiles = (
-        make_profile("hot0", times, bws),
-        make_profile("hot1", times, bws),
-    )
-    spec = (profiles, (1, 1), "latency", make_pccs())
-    sequence = [[("gpu",) * 3, ("dla", "dla", "gpu")]] * 6
-    warm = Formulation(*spec)
-    for a in sequence:
-        warm.engine.evaluate(a, exact=False)
-    exact = Formulation(*spec)
-    for a in sequence:
-        exact.evaluate(a)
-    # exact memoizes the repeated assignments while warm recomputes
-    # them, so compare mean iterations per *computed* evaluation
-    warm_c = warm.engine.counters
-    exact_c = exact.engine.counters
-    assert warm_c.computed_evals == len(sequence)
-    assert warm_c.fp_iterations / warm_c.computed_evals < (
-        exact_c.fp_iterations / exact_c.computed_evals
-    )
 
 
 times_strategy = st.lists(

@@ -1,27 +1,27 @@
-"""Frontier-batched evaluation: the byte-identity test wall.
+"""The batch entry point: the byte-identity test wall.
 
-``EvalEngine.evaluate_frontier`` (repro.core.frontier) replays a whole
-B&B sibling frontier as one lockstep NumPy batch -- event loop and
-Eq. 7-8 contention fixed point vectorized over members.  Like every
-other engine path it is a *pure speedup*: each member's result must
-equal both per-member ``evaluate`` and the ``evaluate_scratch``
-reference **bit for bit** -- scalars, per-item timings, and the type
-*and message* of every infeasibility.  These tests sweep 60+ seeded
-random formulations, every real platform (including the 4-DSA
-``matcha`` with the ``vit_tiny`` transformer), and the adversarial
-paths: memo eviction mid-frontier, singleton frontiers, duplicate
-members, all-infeasible frontiers.  The batch is an API for callers
-holding a sibling set up front; the solvers never call it, and their
-trees are pinned to the ones the retired leaf-frontier prewarm
-explored.
+``Formulation.evaluate_frontier`` evaluates a batch of assignments --
+typically a sibling frontier, all decisions shared but one stream's --
+with one scalar ``EvalEngine.evaluate`` per member.  Each member's
+result must equal both per-member ``evaluate`` and the
+``evaluate_scratch`` reference **bit for bit** -- scalars, per-item
+timings, and the type *and message* of every infeasibility, returned
+in the member's slot.  These tests sweep 60+ seeded random
+formulations, every real platform (including the 4-DSA ``matcha``
+with the ``vit_tiny`` transformer), and the adversarial paths: memo
+eviction mid-batch, singleton batches, duplicate members,
+all-infeasible batches, malformed members.  The batch is an API for
+callers holding a sibling set up front; the solvers never call it,
+and their trees are pinned to the ones the retired leaf-frontier
+prewarm explored.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.evalcache import EvalEngine
-from repro.core.formulation import ScheduleInfeasible
+from repro.core.evalcache import MemoTable
+from repro.core.formulation import Formulation, ScheduleInfeasible
 from repro.core.haxconn import HaXCoNN, enumerate_assignments
 from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
@@ -39,11 +39,11 @@ from tests.core.test_evalcache import (
 SEEDS = range(64)
 
 
-def frontier_outcomes(form_or_engine, batch, **kwargs):
+def frontier_outcomes(form, batch, **kwargs):
     """``evaluate_frontier`` results in the (tag, payload) shape of
     :func:`tests.core.test_evalcache.outcomes`."""
     out = []
-    for res in form_or_engine.evaluate_frontier(batch, **kwargs):
+    for res in form.evaluate_frontier(batch, **kwargs):
         if isinstance(res, Exception):
             out.append(("err", type(res), str(res)))
         else:
@@ -57,8 +57,7 @@ def test_frontier_matches_scalar_and_scratch_bitwise(seed):
     """One batch vs per-member evaluate vs from-scratch, bit for bit.
 
     The sequence mixes sibling rewrites, duplicates, and infeasible
-    members -- the exact population a solver leaf frontier hands the
-    batched evaluator.
+    members -- the population of a solver leaf frontier.
     """
     form, rng = random_formulation(seed)
     sequence = random_sequence(form, rng, length=12)
@@ -70,16 +69,14 @@ def test_frontier_matches_scalar_and_scratch_bitwise(seed):
     front_form = clone(form)
     got = frontier_outcomes(front_form, sequence)
     assert_identical(got, ref, items_every=1)
-    counters = front_form.engine.counters
-    assert counters.frontier_batches == 1
-    assert counters.frontier_members == len(sequence)
+    assert front_form.engine.counters.evals == len(sequence)
 
     # a second pass over the same frontier is all memo hits -- and
     # still bit-identical
     again = frontier_outcomes(front_form, sequence)
     assert_identical(again, ref, items_every=1)
 
-    # serialized members take the scalar fallback; same contract
+    # serialized members: same contract
     serial_ref = outcomes(
         clone(form).evaluate_scratch, sequence[:4], serialized=True
     )
@@ -90,18 +87,32 @@ def test_frontier_matches_scalar_and_scratch_bitwise(seed):
 
 
 # -- adversarial paths --------------------------------------------------
+@pytest.mark.parametrize("seed", (2, 7, 14, 21, 28, 35))
+def test_batch_parity(seed):
+    """A default-length descent sequence equals per-call evaluate and
+    scratch.  Seeds 21 and 28 mix feasible members with KeyError
+    (unprofiled transition) and ScheduleInfeasible ones: every
+    exception comes back in its member's slot."""
+    form, rng = random_formulation(seed)
+    sequence = random_sequence(form, rng)
+    ref = outcomes(clone(form).evaluate_scratch, sequence)
+    assert_identical(outcomes(clone(form).evaluate, sequence), ref)
+    assert_identical(frontier_outcomes(clone(form), sequence), ref)
+
+
 @pytest.mark.parametrize("seed", (0, 3, 8, 11, 17, 23, 31, 42))
 def test_memo_eviction_mid_frontier_preserves_identity(seed):
-    """A capacity-2 memo evicts while the frontier's own results are
+    """A capacity-2 memo evicts while the batch's own results are
     being inserted; every member must still match scratch exactly."""
     form, rng = random_formulation(seed)
     sequence = random_sequence(form, rng, length=14)
     ref = outcomes(clone(form).evaluate_scratch, sequence)
 
-    tiny = EvalEngine(clone(form), memo_capacity=2)
+    tiny = clone(form)
+    tiny.engine.memo = MemoTable(capacity=2)
     got = frontier_outcomes(tiny, sequence)
     assert_identical(got, ref, items_every=1)
-    assert len(tiny.memo) <= 2
+    assert len(tiny.engine.memo) <= 2
 
     # and again: almost everything was evicted, so the batch recomputes
     again = frontier_outcomes(tiny, sequence)
@@ -110,9 +121,8 @@ def test_memo_eviction_mid_frontier_preserves_identity(seed):
 
 @pytest.mark.parametrize("seed", (1, 5, 9, 13))
 def test_singleton_frontiers(seed):
-    """A one-member frontier (below the lockstep minimum) must take
-    the scalar fallback and still match scratch -- feasible and
-    infeasible members alike."""
+    """One-member batches match scratch -- feasible and infeasible
+    members alike."""
     form, rng = random_formulation(seed)
     sequence = random_sequence(form, rng, length=8)
     ref = outcomes(clone(form).evaluate_scratch, sequence)
@@ -124,8 +134,8 @@ def test_singleton_frontiers(seed):
 
 @pytest.mark.parametrize("seed", (2, 7, 19))
 def test_duplicate_members_share_one_evaluation(seed):
-    """Duplicates inside a frontier dedup onto one computation and
-    every slot receives the identical result."""
+    """Every slot of a duplicated member receives the identical
+    result, and the memo answers the memoizable duplicates."""
     form, rng = random_formulation(seed)
     base = random_sequence(form, rng, length=6)
     batch = base + base  # every member duplicated
@@ -134,10 +144,13 @@ def test_duplicate_members_share_one_evaluation(seed):
     front_form = clone(form)
     got = frontier_outcomes(front_form, batch)
     assert_identical(got, ref, items_every=1)
-    counters = front_form.engine.counters
-    assert counters.frontier_members == len(batch)
-    # the duplicated half is answered by in-frontier dedup (memo hits)
-    assert counters.memo_hits >= len(base)
+    # results and ScheduleInfeasible are memoized; reference
+    # KeyErrors (unprofiled transitions) recompute, as in evaluate
+    memoizable = [
+        o for o in ref[len(base):]
+        if o[0] == "ok" or issubclass(o[1], ScheduleInfeasible)
+    ]
+    assert front_form.engine.counters.memo_hits >= len(memoizable)
 
 
 def test_all_infeasible_frontier_reproduces_exceptions():
@@ -162,11 +175,14 @@ def test_all_infeasible_frontier_reproduces_exceptions():
 
 
 def test_frontier_rejects_malformed_members():
-    """Wrong per-stream arity fails loudly, like scalar evaluate."""
+    """Wrong per-stream arity raises ValueError, like scalar evaluate,
+    even from the middle of a batch."""
     form, _rng = random_formulation(6)
     good = [tuple("gpu" for _ in range(len(p))) for p in form.profiles]
     with pytest.raises(ValueError):
         clone(form).evaluate_frontier([good[:1]])
+    with pytest.raises(ValueError):
+        clone(form).evaluate_frontier([good, good[:1], good])
 
 
 # -- real platforms, including matcha + vit_tiny ------------------------
@@ -215,10 +231,21 @@ def test_real_platform_frontiers(platform_name, models):
 
 
 # -- the solvers stay off the batch path -------------------------------
+def forbid_batches(monkeypatch):
+    """Fail the test if anything calls ``evaluate_frontier``."""
+
+    def refuse(self, batch, **kwargs):
+        raise AssertionError("a solver called evaluate_frontier")
+
+    monkeypatch.setattr(Formulation, "evaluate_frontier", refuse)
+
+
 @pytest.mark.parametrize("solver", ("bnb", "portfolio"))
-def test_schedule_never_batches_frontiers(xavier, xavier_db, solver):
+def test_schedule_never_batches_frontiers(
+    xavier, xavier_db, solver, monkeypatch
+):
     """B&B evaluates each leaf it reaches through the scalar engine;
-    neither solver hands the engine a frontier batch."""
+    neither solver calls the batch entry point."""
     scheduler = HaXCoNN(
         xavier,
         db=xavier_db,
@@ -227,11 +254,9 @@ def test_schedule_never_batches_frontiers(xavier, xavier_db, solver):
         solver=solver,
         solver_backend="serial",
     )
+    forbid_batches(monkeypatch)
     result = scheduler.schedule(Workload.concurrent("alexnet", "resnet18"))
-    counters = result.formulation.engine.counters
-    assert counters.evals > 0
-    assert counters.frontier_batches == 0
-    assert counters.frontier_members == 0
+    assert result.formulation.engine.counters.evals > 0
 
 
 #: per objective: nodes explored, then every incumbent's objective and
@@ -268,7 +293,9 @@ PRE_PREWARM_REMOVAL_TREES = {
 
 
 @pytest.mark.parametrize("objective", sorted(PRE_PREWARM_REMOVAL_TREES))
-def test_bnb_tree_matches_pre_removal_pin(xavier, xavier_db, objective):
+def test_bnb_tree_matches_pre_removal_pin(
+    xavier, xavier_db, objective, monkeypatch
+):
     """Node count, incumbent sequence and certified optimum equal the
     tree recorded before the prewarm was removed, bit for bit."""
     scheduler = HaXCoNN(
@@ -279,6 +306,7 @@ def test_bnb_tree_matches_pre_removal_pin(xavier, xavier_db, objective):
     )
     formulation, _ = scheduler.build_formulation(workload)
     problem = scheduler.build_problem(workload, formulation)
+    forbid_batches(monkeypatch)
     result = BranchAndBound().solve(problem)
 
     nodes, incumbents = PRE_PREWARM_REMOVAL_TREES[objective]
@@ -289,21 +317,6 @@ def test_bnb_tree_matches_pre_removal_pin(xavier, xavier_db, objective):
     )
     assert result.best is not None
     assert (result.best.objective, result.best.assignment) == incumbents[-1]
-    assert formulation.engine.counters.frontier_batches == 0
-
-
-def test_frontier_counters_in_stats():
-    """The engine surfaces frontier telemetry through ``stats``."""
-    form, rng = random_formulation(10)
-    sequence = random_sequence(form, rng, length=10)
-    front_form = clone(form)
-    front_form.evaluate_frontier(sequence)
-    stats = front_form.engine.stats()
-    assert stats["frontier_batches"] == 1
-    assert stats["frontier_members"] == len(sequence)
-    assert (
-        stats["frontier_lockstep"] + stats["frontier_fallback"] >= 0
-    )
 
 
 # keep the imported-but-unused guard honest: ACCELS backs the docstring

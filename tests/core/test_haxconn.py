@@ -152,3 +152,25 @@ class TestContentionModelDefault:
     def test_pccs_fetched_from_db(self, xavier, xavier_db):
         scheduler = HaXCoNN(xavier, db=xavier_db, max_groups=6)
         assert scheduler.contention_model is xavier_db.pccs
+
+
+class TestSolverClock:
+    def test_nodes_clock_accepted_with_portfolio(self, xavier, xavier_db):
+        scheduler = HaXCoNN(
+            xavier, db=xavier_db, solver="portfolio", solver_clock="nodes"
+        )
+        assert scheduler.solver_clock == "nodes"
+
+    @pytest.mark.parametrize(
+        "solver", ["bnb", lambda problem, **kwargs: None]
+    )
+    def test_nodes_clock_rejected_without_portfolio(
+        self, xavier, xavier_db, solver
+    ):
+        with pytest.raises(ValueError, match="requires solver='portfolio'"):
+            HaXCoNN(xavier, db=xavier_db, solver=solver, solver_clock="nodes")
+
+    @pytest.mark.parametrize("solver", ["bnb", "portfolio"])
+    def test_unknown_clock_rejected(self, xavier, xavier_db, solver):
+        with pytest.raises(ValueError, match="solver_clock must be"):
+            HaXCoNN(xavier, db=xavier_db, solver=solver, solver_clock="cpu")
