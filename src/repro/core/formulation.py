@@ -61,7 +61,8 @@ class EvaluationResult:
 
     #: T_n per stream: completion time since round start (Eq. 2)
     per_dnn_time: tuple[float, ...]
-    #: solver cost (minimize); negated stream-rate sum for throughput
+    #: solver cost (minimize); for throughput, minus the frames of
+    #: all streams over the round makespan (Eq. 10)
     objective: float
     makespan: float
     fixed_point_iterations: int

@@ -333,6 +333,8 @@ class HaXCoNN:
                 for n, domain in enumerate(domains)
             ]
 
+        total_repeats = sum(formulation.repeats)
+
         def lower_bound(partial: Assignment) -> float:
             if formulation.objective == "energy":
                 assert min_energy is not None
@@ -348,21 +350,21 @@ class HaXCoNN:
                 else min_chain[n]
                 for n in range(len(domains))
             ]
-            if formulation.objective == "latency":
-                # each DSA is serial, so assigned streams' combined
-                # per-DSA busy time also bounds the makespan
-                totals: dict[str, float] = {}
-                for n in range(len(domains)):
-                    if f"dnn{n}" not in partial:
-                        continue
-                    for a, t in busy(n, partial[f"dnn{n}"]).items():
-                        totals[a] = totals.get(a, 0.0) + t
-                busy_bound = max(totals.values(), default=0.0)
-                return max(max(per_dnn), busy_bound)
-            return -sum(
-                formulation.repeats[n] / t if t > 0 else float("inf")
-                for n, t in enumerate(per_dnn)
-            )
+            # each DSA is serial, so assigned streams' combined per-DSA
+            # busy time also bounds the round makespan
+            totals: dict[str, float] = {}
+            for n in range(len(domains)):
+                if f"dnn{n}" not in partial:
+                    continue
+                for a, t in busy(n, partial[f"dnn{n}"]).items():
+                    totals[a] = totals.get(a, 0.0) + t
+            round_lb = max(max(per_dnn), max(totals.values(), default=0.0))
+            if formulation.objective == "latency" or round_lb == float("inf"):
+                return round_lb
+            # throughput is total frames over the round makespan
+            if round_lb <= 0:
+                return float("-inf")
+            return -total_repeats / round_lb
 
         constraints = []
         for names in self.symmetry_classes(workload):
@@ -386,8 +388,9 @@ class HaXCoNN:
         # (identical floats -> identical prune decisions -> identical
         # trees): terms are added in stream-index order with the
         # branched stream contributing a vector, zero-adds are exact
-        # for the non-negative times involved, and max/negate
-        # reductions are exact for IEEE doubles in any order.
+        # for the non-negative times involved, max reductions are
+        # exact for IEEE doubles in any order, and the throughput
+        # bound is one correctly rounded division on both paths.
         n_streams = len(domains)
         val_index = [
             {a: i for i, a in enumerate(domain)} for domain in domains
@@ -437,48 +440,35 @@ class HaXCoNN:
                     else:
                         acc = acc + min_energy[n]
                 return acc
-            if formulation.objective == "latency":
-                # max over per_dnn folds the branched stream in last;
-                # max is order-insensitive in value for floats
-                other = float("-inf")
-                for n in range(n_streams):
-                    if n == b:
-                        continue
-                    t = (
-                        chain(n, partial[f"dnn{n}"])
-                        if f"dnn{n}" in partial
-                        else min_chain[n]
-                    )
-                    if t > other:
-                        other = t
-                per_vec = np.maximum(chain_tab[b][idx], other)
-                tot = np.zeros((len(accel_names), idx.size))
-                for n in range(n_streams):
-                    if n == b:
-                        tot = tot + busy_tab[n][:, idx]
-                    elif f"dnn{n}" in partial:
-                        col = busy_tab[n][:, val_index[n][partial[f"dnn{n}"]]]
-                        tot = tot + col[:, None]
-                return np.maximum(per_vec, tot.max(axis=0))
-            # throughput: negated sum of per-stream rates, stream order
-            acc = np.zeros(idx.size)
+            # max over per_dnn folds the branched stream in last; max
+            # is order-insensitive in value for floats
+            other = float("-inf")
             for n in range(n_streams):
                 if n == b:
-                    t_vec = chain_tab[n][idx]
-                    term = np.full(idx.size, float("inf"))
-                    pos = t_vec > 0
-                    term[pos] = formulation.repeats[n] / t_vec[pos]
-                    acc = acc + term
-                else:
-                    t = (
-                        chain(n, partial[f"dnn{n}"])
-                        if f"dnn{n}" in partial
-                        else min_chain[n]
-                    )
-                    acc = acc + (
-                        formulation.repeats[n] / t if t > 0 else float("inf")
-                    )
-            return -acc
+                    continue
+                t = (
+                    chain(n, partial[f"dnn{n}"])
+                    if f"dnn{n}" in partial
+                    else min_chain[n]
+                )
+                if t > other:
+                    other = t
+            per_vec = np.maximum(chain_tab[b][idx], other)
+            tot = np.zeros((len(accel_names), idx.size))
+            for n in range(n_streams):
+                if n == b:
+                    tot = tot + busy_tab[n][:, idx]
+                elif f"dnn{n}" in partial:
+                    col = busy_tab[n][:, val_index[n][partial[f"dnn{n}"]]]
+                    tot = tot + col[:, None]
+            round_lb = np.maximum(per_vec, tot.max(axis=0))
+            if formulation.objective == "latency":
+                return round_lb
+            out = np.full(idx.size, float("-inf"))
+            pos = round_lb > 0
+            out[pos] = -total_repeats / round_lb[pos]
+            out[round_lb == float("inf")] = float("inf")
+            return out
 
         return Problem(
             variables=variables,

@@ -8,7 +8,8 @@ between the independent paths is a bug somewhere:
     :func:`repro.analysis.verify.verify_solve`.
 ``exhaustive-agreement``
     On small instances, full enumeration must reproduce B&B's optimum
-    (and agree on infeasibility).
+    bit for bit -- both price leaves through the same memoized
+    formulation -- and agree on infeasibility.
 ``portfolio-agreement``
     The parallel anytime portfolio (serial backend, node clock --
     deterministic) must land on the same optimum, or at least a
@@ -228,7 +229,7 @@ def run_oracles(
                 f"exhaustive={exhaustive.best is not None}",
             )
         elif bnb.best is not None and exhaustive.best is not None:
-            if not _close(bnb.best.objective, exhaustive.best.objective):
+            if bnb.best.objective != exhaustive.best.objective:
                 flag(
                     "exhaustive-agreement",
                     f"bnb {bnb.best.objective!r} != exhaustive "
