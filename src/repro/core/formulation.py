@@ -667,10 +667,13 @@ class Formulation:
     ) -> dict[str, float]:
         """Total execution time stream ``dnn`` occupies each DSA.
 
-        Each accelerator runs one item at a time, so the per-DSA sums
-        across streams lower-bound the concurrent makespan -- a much
-        tighter admissible bound than the per-stream chain whenever
-        two streams compete for the same DSA.
+        On the resource-constrained timeline each accelerator runs one
+        item at a time, so the per-DSA sums across streams lower-bound
+        the concurrent makespan -- a much tighter admissible bound than
+        the per-stream chain whenever two streams compete for the same
+        DSA.  The chain timeline lets streams overlap on a DSA by up
+        to epsilon of the makespan (Eq. 9), so there they bound
+        ``(1 + epsilon)`` times the makespan.
         """
         profile = self.profiles[dnn]
         busy: dict[str, float] = {}

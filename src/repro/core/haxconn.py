@@ -12,6 +12,7 @@ HaX-CoNN never loses to the naive baselines (Section 5.2, Scenario 3).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -334,6 +335,25 @@ class HaXCoNN:
             ]
 
         total_repeats = sum(formulation.repeats)
+        # Bound and evaluator add the same non-negative times in other
+        # orders, each add off by at most eps/2 relative: about three
+        # adds per timeline item in the evaluator, at most two in the
+        # bound.  Scaling the bound down by 4 eps per item keeps it at
+        # or below every leaf's computed objective, ties included.
+        items = sum(
+            r * len(p)
+            for r, p in zip(formulation.repeats, formulation.profiles)
+        )
+        slack = 1.0 - 4 * items * sys.float_info.epsilon
+        # Per-DSA busy time bounds the round too: the resource-constrained
+        # timeline runs each DSA serially, while the chain timeline lets
+        # streams overlap on one by up to epsilon of the makespan in
+        # total (Eq. 9), so there the makespan covers busy / (1 + eps).
+        busy_scale = (
+            1.0
+            if formulation.resource_constrained
+            else 1.0 / (1.0 + formulation.epsilon_makespan_frac)
+        )
 
         def lower_bound(partial: Assignment) -> float:
             if formulation.objective == "energy":
@@ -350,15 +370,16 @@ class HaXCoNN:
                 else min_chain[n]
                 for n in range(len(domains))
             ]
-            # each DSA is serial, so assigned streams' combined per-DSA
-            # busy time also bounds the round makespan
             totals: dict[str, float] = {}
             for n in range(len(domains)):
                 if f"dnn{n}" not in partial:
                     continue
                 for a, t in busy(n, partial[f"dnn{n}"]).items():
                     totals[a] = totals.get(a, 0.0) + t
-            round_lb = max(max(per_dnn), max(totals.values(), default=0.0))
+            round_lb = max(
+                max(per_dnn), max(totals.values(), default=0.0) * busy_scale
+            )
+            round_lb *= slack
             if formulation.objective == "latency" or round_lb == float("inf"):
                 return round_lb
             # throughput is total frames over the round makespan
@@ -389,8 +410,9 @@ class HaXCoNN:
         # trees): terms are added in stream-index order with the
         # branched stream contributing a vector, zero-adds are exact
         # for the non-negative times involved, max reductions are
-        # exact for IEEE doubles in any order, and the throughput
-        # bound is one correctly rounded division on both paths.
+        # exact for IEEE doubles in any order, and the busy scale, the
+        # slack and the throughput bound are the same correctly rounded
+        # multiplications and division on both paths.
         n_streams = len(domains)
         val_index = [
             {a: i for i, a in enumerate(domain)} for domain in domains
@@ -461,7 +483,8 @@ class HaXCoNN:
                 elif f"dnn{n}" in partial:
                     col = busy_tab[n][:, val_index[n][partial[f"dnn{n}"]]]
                     tot = tot + col[:, None]
-            round_lb = np.maximum(per_vec, tot.max(axis=0))
+            round_lb = np.maximum(per_vec, tot.max(axis=0) * busy_scale)
+            round_lb = round_lb * slack
             if formulation.objective == "latency":
                 return round_lb
             out = np.full(idx.size, float("-inf"))

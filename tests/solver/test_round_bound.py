@@ -1,21 +1,22 @@
 """The round-makespan bound behind the latency and throughput searches.
 
 Both makespan-shaped objectives are bounded by one round-time bound,
-the larger of the per-stream contention-free chain and the per-DSA
-busy time: latency by the bound itself, throughput by total frames
-over it.  These tests check that the bound is admissible on every
-leaf of small search spaces on two-, three- and four-DSA platforms,
-and pin
-how much it prunes on two Table 8 pairs.
+the per-stream contention-free chain and, on the resource-constrained
+timeline, the per-DSA busy time: latency by the bound itself,
+throughput by total frames over it.  These tests check that the bound
+never exceeds a leaf's computed objective, not even by an ulp, on
+every leaf of small search spaces on two-, three- and four-DSA
+platforms and under the Herald/H2H chain timeline, and pin how much it
+prunes on two Table 8 pairs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import pytest
 
+from repro.contention.base import NoContentionModel
 from repro.core.haxconn import HaXCoNN
 from repro.core.workload import Workload, WorkloadDNN
 from repro.experiments import table8_exhaustive
@@ -23,30 +24,46 @@ from repro.profiling.database import ProfileDB
 from repro.soc.platform import get_platform
 from repro.solver.problem import Infeasible
 
-#: slack allowed for the bound over a leaf's objective.  The bound and
-#: the evaluator sum the same group times in different orders, so the
-#: bound may land a few ulps above an exact tie.
-ULPS = 4
+#: Herald's and H2H's cost model: contention-free, on the chain
+#: timeline where items of different streams may overlap on one DSA
+#: (up to Eq. 9's epsilon), so the per-DSA busy time can exceed the
+#: makespan there
+HERALD = {
+    "contention_model": NoContentionModel(),
+    "include_transitions": False,
+    "resource_constrained": False,
+}
+H2H = {**HERALD, "include_transitions": True}
 
-#: (platform, max groups, stream models with repeats): the two-DSA
-#: Jetsons, three streams on the three-DSA trident and the four-DSA
-#: matcha; each space has 64-400 leaves, all feasible
+#: (id, platform, max groups, stream models with repeats, scheduler
+#: settings): the two-DSA Jetsons, three streams on the three-DSA
+#: trident and the four-DSA matcha; then two xavier pairs whose
+#: feasible leaves include streams sharing a DSA under the Herald and
+#: H2H settings.  Each space has 36-400 leaves.
 LEAF_CASES = (
-    ("orin", 8, (("resnet18", 4), ("resnet101", 1))),
-    ("xavier", 8, (("resnet50", 1), ("resnet18", 1))),
-    ("trident", 4, (("resnet18", 1), ("mobilenet_v1", 1), ("resnet50", 1))),
-    ("matcha", 4, (("resnet18", 1), ("mobilenet_v1", 2))),
+    ("orin", "orin", 8, (("resnet18", 4), ("resnet101", 1)), {}),
+    ("xavier", "xavier", 8, (("resnet50", 1), ("resnet18", 1)), {}),
+    (
+        "trident",
+        "trident",
+        4,
+        (("resnet18", 1), ("mobilenet_v1", 1), ("resnet50", 1)),
+        {},
+    ),
+    ("matcha", "matcha", 4, (("resnet18", 1), ("mobilenet_v1", 2)), {}),
+    ("xavier-herald", "xavier", 6, (("resnet18", 1), ("inception", 1)), HERALD),
+    ("xavier-h2h", "xavier", 6, (("mobilenet_v1", 1), ("vgg19", 1)), H2H),
 )
 
 
 @pytest.mark.parametrize("objective", ("latency", "throughput"))
 @pytest.mark.parametrize(
-    "platform_name, max_groups, streams",
-    LEAF_CASES,
+    "platform_name, max_groups, streams, settings",
+    [c[1:] for c in LEAF_CASES],
     ids=[c[0] for c in LEAF_CASES],
 )
 def test_bound_admissible_on_every_leaf(
-    platform_name, max_groups, streams, objective
+    platform_name, max_groups, streams, settings, objective
 ):
     """``lower_bound(leaf) <= objective(leaf)`` on every feasible leaf."""
     platform = get_platform(platform_name)
@@ -55,6 +72,7 @@ def test_bound_admissible_on_every_leaf(
         db=ProfileDB(platform),
         max_groups=max_groups,
         max_transitions=1,
+        **settings,
     )
     workload = Workload(
         dnns=tuple(WorkloadDNN.of(m, repeats=r) for m, r in streams),
@@ -64,7 +82,7 @@ def test_bound_admissible_on_every_leaf(
     problem = scheduler.build_problem(workload, formulation)
     assert problem.lower_bound is not None
 
-    feasible = 0
+    feasible = shared = 0
     for values in itertools.product(*(v.domain for v in problem.variables)):
         leaf = {v.name: a for v, a in zip(problem.variables, values)}
         try:
@@ -73,11 +91,20 @@ def test_bound_admissible_on_every_leaf(
             continue
         feasible += 1
         bound = problem.lower_bound(leaf)
-        assert bound - value <= ULPS * math.ulp(value), (
+        assert bound <= value, (
             f"{platform_name}/{objective}: bound {bound!r} > "
             f"objective {value!r} on {leaf}"
         )
+        busy: dict[str, float] = {}
+        for n, a in enumerate(values):
+            for acc, t in formulation.busy_times(n, a).items():
+                busy[acc] = busy.get(acc, 0.0) + t
+        shared += max(busy.values()) > formulation.evaluate(values).makespan
     assert feasible > 0
+    if not formulation.resource_constrained:
+        # some leaf must overlap streams on a DSA, or the case would
+        # not tell a busy-time bound from the chain bound
+        assert shared > 0
 
 
 #: Table 8 pair with its balanced repeats -> HaX-CoNN evaluations
